@@ -128,6 +128,15 @@ ThreadPool::global()
     return pool;
 }
 
+std::size_t
+cappedChunkSize(std::size_t chunk_size, std::size_t rows,
+                std::size_t threads)
+{
+    threads = std::max<std::size_t>(1, threads);
+    return std::max<std::size_t>(
+        1, std::min(chunk_size, (rows + threads - 1) / threads));
+}
+
 void
 parallelFor(std::size_t count,
             const std::function<void(std::size_t, std::size_t)> &body)

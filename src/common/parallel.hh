@@ -86,6 +86,16 @@ class ThreadPool
 };
 
 /**
+ * Sequence-chunk size that lets @p threads workers share @p rows rows:
+ * @p chunk_size (at least 1) capped at ceil(rows / threads), so a batch
+ * no larger than one requested chunk still spreads over every thread.
+ * The one partition rule of RnnNetwork::forwardBatch and of the serving
+ * ticks.
+ */
+std::size_t cappedChunkSize(std::size_t chunk_size, std::size_t rows,
+                            std::size_t threads);
+
+/**
  * Convenience wrapper over ThreadPool::global().
  *
  * Falls back to a plain loop for small counts where the dispatch

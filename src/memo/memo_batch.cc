@@ -1,6 +1,7 @@
 #include "memo/memo_batch.hh"
 
 #include <chrono>
+#include <functional>
 #include <limits>
 
 #if defined(__x86_64__)
@@ -16,9 +17,6 @@ namespace nlfm::memo
 
 namespace
 {
-
-/** Weight rows per probe panel (block x live-slots kernel calls). */
-constexpr std::size_t kProbeNeuronBlock = 32;
 
 #if defined(__x86_64__)
 
@@ -382,6 +380,24 @@ BatchMemoEngine::beginBatch(std::size_t total_sequences)
     slotTotal_.assign(gates * slotStride_, 0);
 }
 
+/// Read-only context of one gate call, gathered on the calling thread
+/// and shared by every neuron task of the call.
+struct BatchMemoEngine::GatePanel
+{
+    const nn::GateInstance &instance;
+    const nn::GateParams &params;
+    std::span<const float *const> xRows;
+    std::span<const float *const> hRows;
+    std::span<float *const> outRows;
+    /// Table column (global slot) of each live row.
+    std::span<const std::uint32_t> slotEntry;
+    /// BNN predictor only: packed [x, h] input of each live row, and
+    /// the vector decision path's eligibility and panel-wide theta.
+    std::span<const std::uint64_t *const> inputWords;
+    bool vectorDecide = false;
+    std::int64_t panelThetaRaw = 0;
+};
+
 void
 BatchMemoEngine::evaluateGateBatch(const nn::GateInstance &instance,
                                    const nn::GateParams &params,
@@ -395,54 +411,95 @@ BatchMemoEngine::evaluateGateBatch(const nn::GateInstance &instance,
                 "preact panel width mismatch in batch memo engine");
     nlfm_assert(batch_ > 0, "evaluateGateBatch before beginBatch");
 
-    if (options_.predictor == PredictorKind::Oracle)
-        evaluateOracleBatch(instance, params, x, h, rows, slot_base,
-                            preact);
-    else
-        evaluateBnnBatch(instance, params, x, h, rows, slot_base, preact);
+    // Row pointers and table columns of the live slots, gathered once
+    // per call. thread_local: one set of reusable buffers per calling
+    // thread, no per-gate-call allocation. Neuron tasks on other pool
+    // workers reach them only through the GatePanel spans; the names
+    // would resolve to those workers' own (empty) copies.
+    const std::size_t slots = rows.size();
+    thread_local std::vector<const float *> x_rows;
+    thread_local std::vector<const float *> h_rows;
+    thread_local std::vector<float *> out_rows;
+    thread_local std::vector<std::uint32_t> slot_entry;
+    x_rows.resize(slots);
+    h_rows.resize(slots);
+    out_rows.resize(slots);
+    slot_entry.resize(slots);
+    tensor::gatherRowPointers(x, rows, x_rows);
+    tensor::gatherRowPointers(h, rows, h_rows);
+    tensor::gatherRowPointers(preact, rows, out_rows);
+    for (std::size_t i = 0; i < slots; ++i)
+        slot_entry[i] = static_cast<std::uint32_t>(slot_base + rows[i]);
+    GatePanel panel{instance, params, x_rows, h_rows, out_rows, slot_entry,
+                    {}, false, 0};
+
+    if (options_.predictor == PredictorKind::Oracle) {
+        // The Oracle always computes y_t (Eq. 9), so the whole panel
+        // goes through the blocked kernel: each weight row is streamed
+        // once across every live slot.
+        forNeuronTasks(panel, [&](std::size_t, std::size_t n_begin,
+                                  std::size_t n_end,
+                                  std::uint64_t *reused) {
+            oracleNeurons(panel, n_begin, n_end, reused);
+        });
+    } else {
+        evaluateBnnBatch(panel, x, h, rows);
+    }
 
     // One processing step per live slot: every listed neuron slot counts
     // toward the totals, exactly like the serial stats_.record call.
     const std::size_t stat_base = instance.instanceId * slotStride_;
-    for (const std::size_t b : rows)
-        slotTotal_[stat_base + slot_base + b] += instance.neurons;
+    for (const std::uint32_t e : slot_entry)
+        slotTotal_[stat_base + e] += instance.neurons;
 }
 
 void
-BatchMemoEngine::evaluateOracleBatch(const nn::GateInstance &instance,
-                                     const nn::GateParams &params,
-                                     const tensor::Matrix &x,
-                                     const tensor::Matrix &h,
-                                     std::span<const std::size_t> rows,
-                                     std::size_t slot_base,
-                                     tensor::Matrix &preact)
+BatchMemoEngine::forNeuronTasks(
+    const GatePanel &panel,
+    const std::function<void(std::size_t, std::size_t, std::size_t,
+                             std::uint64_t *)> &body)
 {
-    const std::size_t stat_base = instance.instanceId * slotStride_;
+    const nn::GateInstance &instance = panel.instance;
+    std::uint64_t *reused_row =
+        slotReused_.data() + instance.instanceId * slotStride_;
+    const nn::NeuronSplit split = nn::NeuronSplit::forGate(instance);
+    if (split.tasks == 1 || panel.slotEntry.empty()) {
+        body(0, 0, instance.neurons, reused_row);
+        return;
+    }
+    // Every task decides for every live slot, so the per-slot reuse
+    // counters would be shared: tasks count into private partials
+    // (indexed like reused_row), summed after the barrier. The sums are
+    // integers, so the counters match the unsplit call exactly.
+    const std::size_t width = panel.slotEntry.back() + 1;
+    std::vector<std::uint64_t> partials(split.tasks * width, 0);
+    split.run([&](std::size_t task) {
+        const auto [begin, end] = split.range(task, instance.neurons);
+        body(task, begin, end, partials.data() + task * width);
+    });
+    for (std::size_t task = 0; task < split.tasks; ++task)
+        for (const std::uint32_t e : panel.slotEntry)
+            reused_row[e] += partials[task * width + e];
+}
 
-    // The Oracle always computes y_t (Eq. 9), so the whole panel goes
-    // through the blocked kernel: each weight row is streamed once
-    // across every live slot. thread_local scratch: one set of reusable
-    // buffers per pool worker, no per-gate-call allocation.
-    thread_local std::vector<const float *> x_rows;
-    thread_local std::vector<const float *> h_rows;
-    thread_local std::vector<float *> out_rows;
+void
+BatchMemoEngine::oracleNeurons(const GatePanel &panel, std::size_t n_begin,
+                               std::size_t n_end, std::uint64_t *reused_row)
+{
+    const std::size_t slots = panel.slotEntry.size();
+    // Per-task scratch of the executing thread.
     thread_local std::vector<float> forward;
     thread_local std::vector<float> recurrent;
-    x_rows.resize(rows.size());
-    h_rows.resize(rows.size());
-    out_rows.resize(rows.size());
-    forward.resize(rows.size());
-    recurrent.resize(rows.size());
-    tensor::gatherRowPointers(x, rows, x_rows);
-    tensor::gatherRowPointers(h, rows, h_rows);
-    tensor::gatherRowPointers(preact, rows, out_rows);
-    for (std::size_t n = 0; n < instance.neurons; ++n) {
-        tensor::dotLanesRows(params.wx.row(n), x_rows, forward);
-        tensor::dotLanesRows(params.wh.row(n), h_rows, recurrent);
+    forward.resize(slots);
+    recurrent.resize(slots);
+    for (std::size_t n = n_begin; n < n_end; ++n) {
+        tensor::dotLanesRows(panel.params.wx.row(n), panel.xRows, forward);
+        tensor::dotLanesRows(panel.params.wh.row(n), panel.hRows,
+                             recurrent);
         const std::size_t entry_base =
-            (instance.neuronBase + n) * slotStride_;
-        for (std::size_t i = 0; i < rows.size(); ++i) {
-            const std::size_t slot = slot_base + rows[i];
+            (panel.instance.neuronBase + n) * slotStride_;
+        for (std::size_t i = 0; i < slots; ++i) {
+            const std::size_t slot = panel.slotEntry[i];
             const std::size_t entry = entry_base + slot;
             // The same float(dotLanes + dotLanes) the serial engine's
             // evaluateNeuron produces.
@@ -453,10 +510,10 @@ BatchMemoEngine::evaluateOracleBatch(const nn::GateInstance &instance,
             if (reuse) {
                 // Use the stale value (Eq. 10); the entry is kept
                 // (Eq. 11).
-                out_rows[i][n] = cachedOutput_[entry];
-                ++slotReused_[stat_base + slot];
+                panel.outRows[i][n] = cachedOutput_[entry];
+                ++reused_row[slot];
             } else {
-                out_rows[i][n] = y_t;
+                panel.outRows[i][n] = y_t;
                 cachedOutput_[entry] = y_t;
                 valid_[entry] = 1;
             }
@@ -464,44 +521,34 @@ BatchMemoEngine::evaluateOracleBatch(const nn::GateInstance &instance,
     }
 }
 
-void
-BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
-                                  const nn::GateParams &params,
-                                  const tensor::Matrix &x,
-                                  const tensor::Matrix &h,
-                                  std::span<const std::size_t> rows,
-                                  std::size_t slot_base,
-                                  tensor::Matrix &preact)
+namespace
 {
-    nn::BinarizedGate &bgate = bnn_->gate(instance.instanceId);
-    const bool throttle = options_.throttle;
-    const bool fixed_point = options_.fixedPoint;
-    const std::size_t stat_base = instance.instanceId * slotStride_;
-    const std::size_t slots = rows.size();
 
-    // Phase-time attribution (setPhaseSink): local accumulators per
-    // call, flushed to the shared sink once at the end, so concurrent
-    // chunk workers only contend on three atomic adds per gate call.
-    // timed == false is the default and costs one branch per phase
-    // boundary.
-    GatePhaseTimes *const sink = phaseSink_;
-    const bool timed = sink != nullptr;
-    std::uint64_t probe_ns = 0;
-    std::uint64_t decide_ns = 0;
-    std::uint64_t commit_ns = 0;
-    const auto now_ns = [] {
-        return static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now().time_since_epoch())
-                .count());
-    };
-    std::uint64_t t_mark = timed ? now_ns() : 0;
+std::uint64_t
+nowNs()
+{
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+}
+
+} // namespace
+
+void
+BatchMemoEngine::evaluateBnnBatch(GatePanel &panel, const tensor::Matrix &x,
+                                  const tensor::Matrix &h,
+                                  std::span<const std::size_t> rows)
+{
+    const nn::GateInstance &instance = panel.instance;
+    const std::size_t slots = rows.size();
+    const bool timed = phaseSink_ != nullptr;
+    const std::uint64_t t_start = timed ? nowNs() : 0;
 
     // One input binarization per live slot per timestep (the FMU input
-    // vector of each sequence). thread_local so concurrent chunks never
-    // share mutable predictor state and word buffers are reused across
-    // gate calls instead of reallocated; re-sized only when the gate
-    // width changes.
+    // vector of each sequence), shared read-only by the neuron tasks.
+    // thread_local word buffers are reused across gate calls instead of
+    // reallocated; re-sized only when the gate width changes.
     const std::size_t width = instance.xSize + instance.hSize;
     thread_local std::vector<tensor::BitVector> inputs;
     thread_local std::vector<const std::uint64_t *> input_words;
@@ -514,51 +561,7 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
         inputs[i].assignConcat(x.row(rows[i]), h.row(rows[i]));
         input_words[i] = inputs[i].raw().data();
     }
-    if (timed) {
-        const std::uint64_t t = now_ns();
-        probe_ns += t - t_mark; // input binarization is probe work
-        t_mark = t;
-    }
-
-    // thread_local scratch, one set per pool worker (see
-    // evaluateOracleBatch).
-    thread_local std::vector<const float *> x_rows;
-    thread_local std::vector<const float *> h_rows;
-    thread_local std::vector<float *> out_rows;
-    x_rows.resize(slots);
-    h_rows.resize(slots);
-    out_rows.resize(slots);
-    tensor::gatherRowPointers(x, rows, x_rows);
-    tensor::gatherRowPointers(h, rows, h_rows);
-    tensor::gatherRowPointers(preact, rows, out_rows);
-
-    // Table offsets of each live slot, hoisted out of the per-neuron
-    // decision loop (the loop runs per neuron x slot x timestep; the
-    // offsets only change per gate call).
-    thread_local std::vector<std::uint32_t> slot_entry;
-    slot_entry.resize(slots);
-    for (std::size_t i = 0; i < slots; ++i)
-        slot_entry[i] =
-            static_cast<std::uint32_t>(slot_base + rows[i]);
-
-    // Per-neuron scratch: which slots missed (as indices and as per-
-    // 8-slot bit blocks), and their blocked dots.
-    thread_local std::vector<std::uint32_t> miss;
-    thread_local std::vector<std::uint8_t> miss_blocks;
-    thread_local std::vector<const float *> miss_x;
-    thread_local std::vector<const float *> miss_h;
-    thread_local std::vector<float> forward;
-    thread_local std::vector<float> recurrent;
-    miss.resize(slots);
-    miss_blocks.resize((slots + 7) / 8);
-    miss_x.reserve(slots);
-    miss_h.reserve(slots);
-    std::uint64_t *reused_row = slotReused_.data() + stat_base;
-
-    // Probe panel: all live slots of a block of neurons per kernel
-    // invocation, streaming the contiguous sign matrix block by block.
-    thread_local std::vector<std::int32_t> yb_panel;
-    yb_panel.resize(kProbeNeuronBlock * slots);
+    panel.inputWords = input_words;
 
     // The vector decision path covers the default configuration
     // (fixed-point CMP + throttling) over a dense slot range whose slots
@@ -575,6 +578,7 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
     // run onto the scalar loop — reuse went up while throughput went
     // down. Only genuinely mixed panels (floor mid-transition) pay the
     // scalar path now.
+    const std::span<const std::uint32_t> slot_entry = panel.slotEntry;
 #if defined(__x86_64__)
     static const bool has_decide_isa =
         __builtin_cpu_supports("avx512f") > 0 &&
@@ -590,29 +594,75 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
         for (std::size_t i = 1; i < slots && uniform_theta; ++i)
             uniform_theta =
                 slotThetaRaw_[slot_entry[i]] == panel_theta_raw;
-    const bool vector_decide =
-        has_decide_isa && fixed_point && throttle && dense &&
-        uniform_theta &&
+    panel.vectorDecide =
+        has_decide_isa && options_.fixedPoint && options_.throttle &&
+        dense && uniform_theta &&
         tensor::bnnActiveIsa() == tensor::BnnIsa::Avx512 &&
         panel_theta_raw <
             std::numeric_limits<std::int64_t>::max() /
                 (static_cast<std::int64_t>(2 * width + 2) << 16);
-#else
-    constexpr bool vector_decide = false;
+    panel.panelThetaRaw = panel_theta_raw;
 #endif
 
-    for (std::size_t n0 = 0; n0 < instance.neurons;
-         n0 += kProbeNeuronBlock) {
-        const std::size_t block =
-            std::min(kProbeNeuronBlock, instance.neurons - n0);
+    // Input binarization is probe work; task 0 carries it into its
+    // single sink flush.
+    const std::uint64_t binarize_ns = timed ? nowNs() - t_start : 0;
+    forNeuronTasks(panel, [&](std::size_t task, std::size_t n_begin,
+                              std::size_t n_end, std::uint64_t *reused) {
+        bnnNeurons(panel, n_begin, n_end, reused,
+                   task == 0 ? binarize_ns : 0);
+    });
+}
+
+void
+BatchMemoEngine::bnnNeurons(const GatePanel &panel, std::size_t n_begin,
+                            std::size_t n_end, std::uint64_t *reused_row,
+                            std::uint64_t probe_ns)
+{
+    const nn::GateInstance &instance = panel.instance;
+    const nn::GateParams &params = panel.params;
+    const nn::BinarizedGate &bgate = bnn_->gate(instance.instanceId);
+    const bool throttle = options_.throttle;
+    const bool fixed_point = options_.fixedPoint;
+    const std::size_t slots = panel.slotEntry.size();
+    const std::span<const std::uint32_t> slot_entry = panel.slotEntry;
+    float *const *out_rows = panel.outRows.data();
+
+    // Phase-time attribution (setPhaseSink): local accumulators per
+    // task, flushed to the shared sink once at the end, so concurrent
+    // workers only contend on three atomic adds per task. timed == false
+    // is the default and costs one branch per phase boundary.
+    GatePhaseTimes *const sink = phaseSink_;
+    const bool timed = sink != nullptr;
+    std::uint64_t decide_ns = 0;
+    std::uint64_t commit_ns = 0;
+    std::uint64_t t_mark = 0;
+
+    // Per-task scratch of the executing thread: which slots missed (as
+    // indices and as per-8-slot bit blocks), their blocked dots, and
+    // the probe panel — all live slots of a block of neurons per kernel
+    // invocation, streaming the contiguous sign matrix block by block.
+    thread_local std::vector<std::uint32_t> miss;
+    thread_local std::vector<std::uint8_t> miss_blocks;
+    thread_local std::vector<const float *> miss_x;
+    thread_local std::vector<const float *> miss_h;
+    thread_local std::vector<float> forward;
+    thread_local std::vector<float> recurrent;
+    thread_local std::vector<std::int32_t> yb_panel;
+    miss.resize(slots);
+    miss_blocks.resize((slots + 7) / 8);
+    miss_x.reserve(slots);
+    miss_h.reserve(slots);
+    yb_panel.resize(nn::kNeuronBlock * slots);
+
+    for (std::size_t n0 = n_begin; n0 < n_end; n0 += nn::kNeuronBlock) {
+        const std::size_t block = std::min(nn::kNeuronBlock, n_end - n0);
         if (timed)
-            t_mark = now_ns();
-        tensor::bnnDotPanel(bgate.weights(), n0, block, input_words,
+            t_mark = nowNs();
+        tensor::bnnDotPanel(bgate.weights(), n0, block, panel.inputWords,
                             yb_panel);
-        if (timed) {
-            const std::uint64_t t = now_ns();
-            probe_ns += t - t_mark;
-        }
+        if (timed)
+            probe_ns += nowNs() - t_mark;
 
         for (std::size_t r = 0; r < block; ++r) {
             const std::size_t n = n0 + r;
@@ -634,16 +684,17 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
             // stays readable in yb_row).
             std::size_t miss_count = 0;
             if (timed)
-                t_mark = now_ns();
+                t_mark = nowNs();
 #if defined(__x86_64__)
-            if (vector_decide) {
-                // vector_decide implies every slot sits at the same
+            if (panel.vectorDecide) {
+                // vectorDecide implies every slot sits at the same
                 // theta, so the panel-wide value is exact here.
                 miss_count = decideRowAvx512(
                     yb_row, slots, slot_entry[0], bnn_row, valid_row,
-                    draw_row, y_row, reused_row, out_rows.data(), n,
-                    panel_theta_raw, Q16::fromRaw(panel_theta_raw),
-                    miss.data(), miss_blocks.data());
+                    draw_row, y_row, reused_row, out_rows, n,
+                    panel.panelThetaRaw,
+                    Q16::fromRaw(panel.panelThetaRaw), miss.data(),
+                    miss_blocks.data());
             } else
 #endif
             for (std::size_t i = 0; i < slots; ++i) {
@@ -679,7 +730,7 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
             // slots through the blocked kernel, one weight-row read for
             // all of them; refresh the whole entry.
             if (timed) {
-                const std::uint64_t t = now_ns();
+                const std::uint64_t t = nowNs();
                 decide_ns += t - t_mark;
                 t_mark = t;
             }
@@ -698,16 +749,16 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
             forward.resize(m_count);
             recurrent.resize(m_count);
             if (full_panel) {
-                tensor::dotLanesRows(params.wx.row(n),
-                                     {x_rows.data(), slots}, forward);
-                tensor::dotLanesRows(params.wh.row(n),
-                                     {h_rows.data(), slots}, recurrent);
+                tensor::dotLanesRows(params.wx.row(n), panel.xRows,
+                                     forward);
+                tensor::dotLanesRows(params.wh.row(n), panel.hRows,
+                                     recurrent);
             } else {
                 miss_x.resize(miss_count);
                 miss_h.resize(miss_count);
                 for (std::size_t m = 0; m < miss_count; ++m) {
-                    miss_x[m] = x_rows[miss[m]];
-                    miss_h[m] = h_rows[miss[m]];
+                    miss_x[m] = panel.xRows[miss[m]];
+                    miss_h[m] = panel.hRows[miss[m]];
                 }
                 tensor::dotLanesRows(params.wx.row(n), miss_x, forward);
                 tensor::dotLanesRows(params.wh.row(n), miss_h,
@@ -717,13 +768,13 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
             std::uint8_t *valid_wrow = valid_.data() + entry_base;
             float *y_wrow = cachedOutput_.data() + entry_base;
 #if defined(__x86_64__)
-            if (vector_decide && full_panel) {
+            if (panel.vectorDecide && full_panel) {
                 commitRowAvx512(miss_blocks.data(), slots, slot_entry[0],
                                 forward.data(), recurrent.data(), yb_row,
                                 y_wrow, bnn_wrow, draw_row, valid_wrow,
-                                out_rows.data(), n);
+                                out_rows, n);
                 if (timed)
-                    commit_ns += now_ns() - t_mark;
+                    commit_ns += nowNs() - t_mark;
                 continue;
             }
 #endif
@@ -742,7 +793,7 @@ BatchMemoEngine::evaluateBnnBatch(const nn::GateInstance &instance,
                 valid_wrow[e] = 1;
             }
             if (timed)
-                commit_ns += now_ns() - t_mark;
+                commit_ns += nowNs() - t_mark;
         }
     }
     if (timed) {

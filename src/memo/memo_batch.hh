@@ -29,6 +29,7 @@
 #define NLFM_MEMO_MEMO_BATCH_HH
 
 #include <atomic>
+#include <functional>
 
 #include "common/aligned.hh"
 #include "memo/memo_engine.hh"
@@ -158,17 +159,31 @@ class BatchMemoEngine : public nn::BatchGateEvaluator
     void setPhaseSink(GatePhaseTimes *sink) { phaseSink_ = sink; }
 
   private:
-    void evaluateOracleBatch(const nn::GateInstance &instance,
-                             const nn::GateParams &params,
-                             const tensor::Matrix &x,
-                             const tensor::Matrix &h,
-                             std::span<const std::size_t> rows,
-                             std::size_t slot_base, tensor::Matrix &preact);
-    void evaluateBnnBatch(const nn::GateInstance &instance,
-                          const nn::GateParams &params,
-                          const tensor::Matrix &x, const tensor::Matrix &h,
-                          std::span<const std::size_t> rows,
-                          std::size_t slot_base, tensor::Matrix &preact);
+    struct GatePanel;
+
+    void evaluateBnnBatch(GatePanel &panel, const tensor::Matrix &x,
+                          const tensor::Matrix &h,
+                          std::span<const std::size_t> rows);
+
+    /// Run body(task, n_begin, n_end, reused_row) over the gate's
+    /// neurons: once, inline, or once per task of the calling thread's
+    /// neuron split (nn::NeuronSplit), with per-task reuse counters
+    /// reduced into slotReused_ after the barrier.
+    void forNeuronTasks(
+        const GatePanel &panel,
+        const std::function<void(std::size_t, std::size_t, std::size_t,
+                                 std::uint64_t *)> &body);
+
+    /// Decide and commit neurons [n_begin, n_end) of one gate call;
+    /// reuse counts go to @p reused_row (indexed by slot).
+    void oracleNeurons(const GatePanel &panel, std::size_t n_begin,
+                       std::size_t n_end, std::uint64_t *reused_row);
+    /// BNN counterpart of oracleNeurons; @p probe_ns is probe time
+    /// already spent on this task's behalf (input binarization), folded
+    /// into its one phase-sink flush.
+    void bnnNeurons(const GatePanel &panel, std::size_t n_begin,
+                    std::size_t n_end, std::uint64_t *reused_row,
+                    std::uint64_t probe_ns);
 
     const nn::RnnNetwork &network_;
     nn::BinarizedNetwork *bnn_;
@@ -182,15 +197,15 @@ class BatchMemoEngine : public nn::BatchGateEvaluator
 
     /// Slot stride of the SoA tables: batch_, rounded up to a cache line
     /// of the smallest element (valid_, 1 byte) for batches larger than
-    /// one line of slots. Together with the cache-line-aligned
-    /// allocations, chunk boundaries that fall on 64-slot multiples —
-    /// which the BatchForwardOptions::chunkSize default of 64
-    /// guarantees — never split a table cache line between chunks, so
-    /// concurrent chunk workers cannot false-share memo state. A caller
-    /// choosing a smaller chunkSize puts several chunks inside one line
-    /// of valid_ and accepts that sharing (the engine never learns the
-    /// chunk geometry; fixing sub-line chunks would need a chunk-major
-    /// table layout).
+    /// one line of slots. With the cache-line-aligned allocations, chunk
+    /// boundaries on 64-slot multiples never split a table cache line
+    /// between chunks. RnnNetwork::forwardBatch caps chunks at
+    /// ceil(batch / threads), so batches under 64 x threads slots get
+    /// smaller chunks whose workers do share lines of valid_ (and of the
+    /// other columns). That false sharing is accepted: correctness does
+    /// not depend on it, and on the DeepSpeech2 batch of 16 it costs far
+    /// less than leaving three of four cores idle. Neuron-split tasks
+    /// write disjoint neuron rows and meet only at block boundaries.
     std::size_t slotStride_ = 0;
 
     /// Slots whose theta differs from options_.theta. Non-zero disables

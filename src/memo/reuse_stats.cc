@@ -44,6 +44,22 @@ ReuseStats::gateReuseFraction(std::size_t gate_instance) const
            static_cast<double>(gateTotal_[gate_instance]);
 }
 
+std::uint64_t
+ReuseStats::gateSlots(std::size_t gate_instance) const
+{
+    nlfm_assert(gate_instance < gateTotal_.size(),
+                "gate instance out of range");
+    return gateTotal_[gate_instance];
+}
+
+std::uint64_t
+ReuseStats::gateReused(std::size_t gate_instance) const
+{
+    nlfm_assert(gate_instance < gateReused_.size(),
+                "gate instance out of range");
+    return gateReused_[gate_instance];
+}
+
 void
 ReuseStats::reset()
 {

@@ -43,6 +43,10 @@ class ReuseStats
     std::uint64_t totalSlots() const { return total_; }
     std::uint64_t totalReused() const { return reused_; }
 
+    /** Neuron slots and hits recorded for one gate instance. */
+    std::uint64_t gateSlots(std::size_t gate_instance) const;
+    std::uint64_t gateReused(std::size_t gate_instance) const;
+
     void reset();
 
   private:

@@ -113,14 +113,32 @@ RnnNetwork::forwardBatch(std::span<const Sequence> inputs,
     if (inputs.empty())
         return outputs;
 
-    const std::size_t chunk_size = std::max<std::size_t>(1,
-                                                         options.chunkSize);
+    ThreadPool *pool = nullptr;
+    if (options.threaded)
+        pool = options.pool != nullptr ? options.pool : &ThreadPool::global();
+    const std::size_t threads = pool != nullptr ? pool->threadCount() : 1;
+
+    // Partition: sequence chunks of at most ceil(batch / threads) rows,
+    // one pool task each, as long as that leaves kMinChunkRows rows per
+    // chunk. Smaller batches, if some gate is wide enough to repay it,
+    // run whole chunks on the caller instead, and their gate calls
+    // split the neurons across the pool. Per-row results depend neither
+    // on panel composition nor on the neuron split, so every float is
+    // identical for any chunk size and worker count.
+    std::size_t chunk_size =
+        cappedChunkSize(options.chunkSize, inputs.size(), threads);
+    const bool split_neurons =
+        threads > 1 && chunk_size < kMinChunkRows &&
+        std::any_of(instances_.begin(), instances_.end(),
+                    [&](const GateInstance &instance) {
+                        return NeuronSplit::taskCount(instance, threads) >
+                               1;
+                    });
+    if (split_neurons)
+        chunk_size = cappedChunkSize(options.chunkSize, inputs.size(), 1);
     const std::size_t chunks =
         (inputs.size() + chunk_size - 1) / chunk_size;
 
-    // One task per sequence chunk. Chunk boundaries depend only on
-    // chunkSize, so panel composition — and therefore every float — is
-    // identical no matter how many workers pick the tasks up.
     const auto run_chunk = [&](std::size_t chunk) {
         const std::size_t begin = chunk * chunk_size;
         const std::size_t end =
@@ -137,10 +155,13 @@ RnnNetwork::forwardBatch(std::span<const Sequence> inputs,
             outputs[b] = current.unpackSequence(b - begin);
     };
 
-    if (options.threaded) {
-        ThreadPool &pool =
-            options.pool != nullptr ? *options.pool : ThreadPool::global();
-        pool.run(chunks, [&](std::size_t begin, std::size_t end) {
+    if (split_neurons) {
+        runWithNeuronSplit(*pool, [&] {
+            for (std::size_t chunk = 0; chunk < chunks; ++chunk)
+                run_chunk(chunk);
+        });
+    } else if (pool != nullptr) {
+        pool->run(chunks, [&](std::size_t begin, std::size_t end) {
             for (std::size_t chunk = begin; chunk < end; ++chunk)
                 run_chunk(chunk);
         });

@@ -21,29 +21,40 @@ namespace nlfm::nn
 {
 
 /**
+ * Fewest rows per sequence chunk RnnNetwork::forwardBatch accepts
+ * before it switches to one chunk with neuron-split gate calls. Sequence
+ * chunks each stream every weight, a neuron split streams each weight
+ * once; on DeepSpeech2 (5x800 GRU, 4-core host) the split ran 1.3-2x
+ * faster at 1-2 rows per chunk (batches 4-8), broke even at 3 (batch
+ * 12) and lost by about 1.4x at 4 (batch 16).
+ */
+constexpr std::size_t kMinChunkRows = 3;
+
+/**
  * Scheduling knobs of the batched forward path.
  *
- * The batch is split into fixed-size chunks of consecutive sequences;
- * each chunk runs the whole stack with panel kernels and the chunks are
- * distributed over the thread pool. Chunk boundaries depend only on
- * chunkSize — never on worker count — so results and statistics are
- * reproducible for any pool size.
+ * The batch is split into chunks of consecutive sequences; each chunk
+ * runs the whole stack with panel kernels and the chunks are
+ * distributed over the thread pool (see RnnNetwork::forwardBatch for
+ * the partition rule). Per-row results do not depend on where the chunk
+ * boundaries fall, so outputs and statistics are reproducible for any
+ * chunk size and pool size.
  */
 struct BatchForwardOptions
 {
     /** Pool to schedule chunks on; null means ThreadPool::global(). */
     ThreadPool *pool = nullptr;
     /**
-     * Sequences per chunk. Weight reads amortize across a chunk, and
-     * the default is a cache line of the batch memo table's smallest
-     * element (valid_, 1 byte): combined with the table's cache-line-
-     * padded slot stride, concurrent chunk workers never write the same
-     * line of memo state. The flip side: a batch no larger than one
-     * chunk runs on a single worker. That is deliberate — for batches
-     * under 64 slots, any multi-chunk split necessarily puts several
-     * workers on one valid_ line — but callers who want thread-level
-     * parallelism at small batch sizes can set a smaller chunkSize and
-     * accept that sharing (outputs are identical for every chunk size).
+     * Upper bound on sequences per chunk; the effective chunk is
+     * min(chunkSize, ceil(batch / threads)), so every thread gets rows
+     * whenever the batch has at least one per thread. Weight reads
+     * amortize across a chunk. Chunks of fewer than 64 rows share cache
+     * lines of the batch memo table's 1-byte valid_ column across
+     * workers; that false sharing is benign for correctness and, on the
+     * DeepSpeech2 batch of 16, costs far less than the three idle cores
+     * a single 64-row chunk would leave (perfbench batch-ds2 on a
+     * 4-core host: 3.2x the memoized and 3.5x the exact sequences/s of
+     * one 16-row chunk).
      */
     std::size_t chunkSize = 64;
     /**
@@ -102,8 +113,16 @@ class RnnNetwork
     Sequence forwardBaseline(const Sequence &inputs);
 
     /**
-     * Run many sequences through the stack with panel kernels and
-     * sequence-chunk parallelism.
+     * Run many sequences through the stack with panel kernels, using
+     * every pool thread.
+     *
+     * Partition rule: sequence chunks of min(options.chunkSize,
+     * ceil(batch / threads)) rows, one pool task each, when that is at
+     * least kMinChunkRows rows. Otherwise, if any gate has at least
+     * kNeuronSplitGrain weights, chunks of up to options.chunkSize rows
+     * run on the caller and their gate calls split the neuron loop
+     * across the pool (NeuronSplit); small networks keep the sequence
+     * chunks.
      *
      * Calls eval.beginBatch(inputs.size()) once, then evaluates every
      * chunk through the batched seam. Output i is bitwise identical to

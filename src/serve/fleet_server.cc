@@ -126,14 +126,11 @@ FleetServer::FleetServer(const ModelRegistry &registry,
     }
     if (options_.workers > 1)
         pool_ = std::make_unique<ThreadPool>(options_.workers);
-    // Same effective-chunk-size rule as the single-model Server: cap so
-    // the requested workers can split the pool at small widths.
-    chunkSize_ = std::max<std::size_t>(1, options_.chunkSize);
-    if (options_.workers > 1)
-        chunkSize_ = std::min(
-            chunkSize_, std::max<std::size_t>(
-                            1, (options_.slots + options_.workers - 1) /
-                                   options_.workers));
+    // Effective chunk size: chunkSize is an upper bound, capped so the
+    // requested workers can actually split the slot range (the same
+    // rule as RnnNetwork::forwardBatch).
+    chunkSize_ = cappedChunkSize(options_.chunkSize, options_.slots,
+                                 options_.workers);
     stats_.start();
     for (auto &stats : modelStats_)
         stats.start();

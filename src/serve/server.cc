@@ -81,16 +81,11 @@ Server::Server(nn::RnnNetwork &network, nn::BinarizedNetwork *bnn,
     }
     if (options_.workers > 1)
         pool_ = std::make_unique<ThreadPool>(options_.workers);
-    // Effective chunk size: chunkSize is an upper bound; with a pool,
-    // cap it so the requested workers can actually split the slot range
-    // (otherwise workers > 1 with slots <= chunkSize would silently
-    // step every tick single-threaded).
-    chunkSize_ = std::max<std::size_t>(1, options_.chunkSize);
-    if (options_.workers > 1)
-        chunkSize_ = std::min(
-            chunkSize_, std::max<std::size_t>(
-                            1, (options_.slots + options_.workers - 1) /
-                                   options_.workers));
+    // Effective chunk size: chunkSize is an upper bound, capped so the
+    // requested workers can actually split the slot range (the same
+    // rule as RnnNetwork::forwardBatch).
+    chunkSize_ = cappedChunkSize(options_.chunkSize, options_.slots,
+                                 options_.workers);
     // The measured interval opens with the server, so throughput
     // denominators cover queueing from the very first enqueue.
     stats_.start();

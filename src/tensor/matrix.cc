@@ -1,5 +1,7 @@
 #include "tensor/matrix.hh"
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "tensor/vector_ops.hh"
 
@@ -65,7 +67,8 @@ Matrix::matvecTransposeAccum(std::span<const float> g,
 
 void
 Matrix::matvecPanel(const Matrix &inputs, std::span<const std::size_t> rows,
-                    Matrix &out, bool accumulate) const
+                    Matrix &out, bool accumulate, std::size_t neuron_begin,
+                    std::size_t neuron_end) const
 {
     nlfm_assert(inputs.cols() == cols_, "matvecPanel: input width ",
                 inputs.cols(), " != cols ", cols_);
@@ -84,7 +87,8 @@ Matrix::matvecPanel(const Matrix &inputs, std::span<const std::size_t> rows,
     products.resize(rows.size());
     gatherRowPointers(inputs, rows, input_rows);
     gatherRowPointers(out, rows, out_rows);
-    for (std::size_t r = 0; r < rows_; ++r) {
+    for (std::size_t r = neuron_begin; r < std::min(neuron_end, rows_);
+         ++r) {
         dotLanesRows(row(r), input_rows, products);
         if (accumulate) {
             for (std::size_t i = 0; i < rows.size(); ++i)

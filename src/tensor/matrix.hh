@@ -10,6 +10,7 @@
 #define NLFM_TENSOR_MATRIX_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -66,9 +67,14 @@ class Matrix
      * the weight-read amortization the batch path exists for. Per-row
      * results are bitwise identical to dotLanes(row(r), inputs.row(b)),
      * the explicit-lane kernel the serial gate path (dotPair) uses.
+     * Only neurons [neuron_begin, neuron_end) are computed (clamped to
+     * rows()), so disjoint neuron ranges can fill one panel from
+     * several threads.
      */
     void matvecPanel(const Matrix &inputs, std::span<const std::size_t> rows,
-                     Matrix &out, bool accumulate) const;
+                     Matrix &out, bool accumulate,
+                     std::size_t neuron_begin = 0,
+                     std::size_t neuron_end = SIZE_MAX) const;
 
   private:
     std::size_t rows_ = 0;

@@ -531,5 +531,17 @@ TEST(ParallelTest, ZeroCountIsNoop)
     EXPECT_FALSE(called);
 }
 
+TEST(ParallelTest, CappedChunkSizeSpreadsRowsOverThreads)
+{
+    EXPECT_EQ(cappedChunkSize(64, 16, 4), 4u);   // batch-ds2: 4 chunks
+    EXPECT_EQ(cappedChunkSize(64, 13, 4), 4u);   // last chunk holds 1
+    EXPECT_EQ(cappedChunkSize(64, 256, 4), 64u); // capped by chunkSize
+    EXPECT_EQ(cappedChunkSize(8, 100, 4), 8u);
+    EXPECT_EQ(cappedChunkSize(64, 3, 4), 1u);
+    EXPECT_EQ(cappedChunkSize(64, 5, 1), 5u);    // one thread: one chunk
+    EXPECT_EQ(cappedChunkSize(0, 5, 1), 1u);     // never below one row
+    EXPECT_EQ(cappedChunkSize(64, 5, 0), 5u);    // 0 threads reads as 1
+}
+
 } // namespace
 } // namespace nlfm
