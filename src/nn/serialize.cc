@@ -45,9 +45,13 @@ class File
     File(const File &) = delete;
     File &operator=(const File &) = delete;
 
+    // Zero-byte transfers return early: an empty tensor's data() may be
+    // null, and fread/fwrite declare their buffer nonnull.
     void
     write(const void *data, std::size_t bytes)
     {
+        if (bytes == 0)
+            return;
         if (std::fwrite(data, 1, bytes, handle_) != bytes)
             nlfm_fatal("short write to ", path_);
     }
@@ -55,6 +59,8 @@ class File
     void
     read(void *data, std::size_t bytes)
     {
+        if (bytes == 0)
+            return;
         if (std::fread(data, 1, bytes, handle_) != bytes)
             nlfm_fatal("short read from ", path_,
                        " (truncated or corrupt file)");

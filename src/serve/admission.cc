@@ -10,6 +10,9 @@ namespace nlfm::serve
 namespace
 {
 
+/// Error-message prefix of every failure Admission reports.
+constexpr const char *kDriver = "serve::FleetServer";
+
 double
 millis(Clock::duration d)
 {
@@ -140,7 +143,7 @@ Admission::submit(std::size_t model, Request request)
         if (frame.size() != info.inputWidth) {
             item.promise.set_exception(std::make_exception_ptr(
                 std::invalid_argument(
-                    config_.server + ": request frame width " +
+                    std::string(kDriver) + ": request frame width " +
                     std::to_string(frame.size()) + " != " +
                     info.inputLabel + " " +
                     std::to_string(info.inputWidth))));
@@ -174,7 +177,7 @@ Admission::submit(std::size_t model, Request request)
         // of leaving a broken promise. (push only consumes the item on
         // success, so the promise is still ours to fail.)
         item.promise.set_exception(std::make_exception_ptr(
-            std::runtime_error(config_.server + " stopped")));
+            std::runtime_error(std::string(kDriver) + " stopped")));
         finishOne();
         return future;
     }
@@ -363,7 +366,7 @@ Admission::shed(QueuedRequest &&item, std::size_t model,
     if (telemetry_ != nullptr)
         telemetry_->onShed(model, reason);
     item.promise.set_exception(std::make_exception_ptr(ShedError(
-        config_.server +
+        std::string(kDriver) +
         (reason == ShedReason::Expired
              ? ": deadline expired before admission (shed)"
              : ": predicted completion past the deadline (shed)"))));

@@ -1,14 +1,23 @@
 /// @file
-/// Shared-slot-pool scheduler of the multi-model fleet driver.
+/// Slot-pool scheduler of the serving driver.
 ///
-/// Where the single-model Scheduler maps one queue onto one slot pool,
-/// the FleetScheduler partitions ONE pool of slots across N resident
-/// models dynamically: any slot can host any model's request, a slot
-/// returns to the shared pool the moment its sequence completes, and the
-/// next admission may hand it to a different model. There is no static
+/// The FleetScheduler owns the bookkeeping that maps requests onto the
+/// driver's fixed-width panel of sequence slots: which slots are free,
+/// which request occupies each active slot, and how far into its
+/// sequence each slot has stepped. Sequences of different lengths
+/// coexist — a slot frees the moment its own sequence completes,
+/// independent of its neighbors, and the next queued request is
+/// admitted into it on the following tick.
+///
+/// The pool is shared by N resident models and partitioned across them
+/// dynamically: any slot can host any model's request, a slot returns
+/// to the shared pool the moment its sequence completes, and the next
+/// admission may hand it to a different model. There is no static
 /// per-model partition — a model with an empty queue consumes zero
 /// slots, and a backlogged model can absorb the whole pool when its
-/// peers are idle.
+/// peers are idle. The single-model serve::Server is the N = 1 case:
+/// pickModel always returns model 0, so admission is FIFO from the
+/// queue (or EDF, per the queue's policy) into the lowest free slot.
 ///
 /// Admission fairness is deficit round robin (DRR) over the models with
 /// pending requests: each visit grants a model its weight as credit, one
@@ -30,10 +39,12 @@
 /// calibrated service cost instead, making weights proportional to
 /// machine time; the flat-credit default stays bit-identical to PR 4.
 ///
-/// Like the single-model Scheduler, admission picks the lowest-numbered
-/// free slot and all choices are deterministic given the sequence of
-/// (pickModel, admit, release) calls. Not thread-safe: driven only by
-/// the fleet server's driver loop.
+/// Admission picks the lowest-numbered free slot, and all choices are
+/// deterministic given the sequence of (pickModel, admit, release)
+/// calls — which is what makes serving runs reproducible enough to test
+/// (see docs/SERVING.md for what is and is not deterministic under
+/// load). Not thread-safe: driven only by the fleet server's driver
+/// loop. Clients never touch it.
 
 #ifndef NLFM_SERVE_FLEET_SCHEDULER_HH
 #define NLFM_SERVE_FLEET_SCHEDULER_HH
@@ -41,10 +52,27 @@
 #include <span>
 #include <vector>
 
-#include "serve/scheduler.hh"
+#include "serve/request_queue.hh"
 
 namespace nlfm::serve
 {
+
+/// Occupancy record of one active slot.
+struct SlotState
+{
+    bool active = false;
+    std::size_t model = 0;         ///< owning model
+    std::uint64_t id = 0;          ///< request id
+    Request request;               ///< the admitted request
+    std::promise<Response> promise;
+    std::size_t step = 0;          ///< next input step to process
+    /// Session warm-start restored into this slot at admission (flows
+    /// into Response::warmResumed at completion).
+    bool warmStart = false;
+    nn::Sequence output;           ///< per-step outputs collected so far
+    Clock::time_point enqueueTime{};
+    Clock::time_point admitTime{};
+};
 
 /// Slot pool shared by N models, with weighted-fair admission.
 class FleetScheduler

@@ -25,7 +25,6 @@ AdmissionConfig
 fleetAdmissionConfig(const FleetOptions &options)
 {
     AdmissionConfig config;
-    config.server = "serve::FleetServer";
     config.queueCapacity = options.queueCapacity;
     config.slots = options.slots;
     config.queuePolicy = options.queuePolicy;
@@ -428,10 +427,10 @@ FleetServer::tick()
     }
 
     // Flatten every model's slot-range chunks into one task list and
-    // step them on the single shared pool. Chunk boundaries follow the
-    // same rule as the single-model Server (slot / chunkSize groups per
-    // model), so panel composition per chunk is independent of worker
-    // count — and of which other models share the fleet.
+    // step them on the single shared pool. Chunk boundaries are slot /
+    // chunkSize groups per model (the forwardBatch rule), so panel
+    // composition per chunk is independent of worker count — and of
+    // which other models share the fleet.
     const std::size_t chunk_size = chunkSize_;
     auto &tasks = tickTasks_;
     tasks.clear();

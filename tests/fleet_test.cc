@@ -6,9 +6,10 @@
  *    proportion to registered weights and never starves a backlogged
  *    model.
  *  - Every request served by a fleet produces outputs bitwise identical
- *    to the same request served by a single-model serve::Server (and
- *    therefore to the serial MemoEngine) — sharing the slot pool with
- *    other models is a scheduling change, not a numerical one.
+ *    to the serial reference (RnnNetwork::forward + MemoEngine) at the
+ *    same theta, and to the same request served alone by a one-model
+ *    fleet (serve::Server) — sharing the slot pool with other models is
+ *    a scheduling change, not a numerical one.
  *  - A slot reclaimed from one model and handed to another starts cold
  *    in both models' engines.
  *  - Skewed load at one model does not starve its neighbor.
@@ -16,6 +17,8 @@
  *    and counts them, per model and aggregate.
  *  - Per-model stats break down the aggregate exactly.
  */
+
+#include <algorithm>
 
 #include <gtest/gtest.h>
 
@@ -129,6 +132,48 @@ struct TestModel
 };
 
 // ------------------------------------------------ admission policy
+
+TEST(FleetSchedulerTest, SingleModelIsFifoIntoLowestFreeSlot)
+{
+    // The one-model fleet a serve::Server runs on: every pick is model
+    // 0, and slots are handed out lowest-free-first.
+    const double weights[] = {1.0};
+    serve::FleetScheduler scheduler(4, weights);
+
+    const std::size_t none[] = {0};
+    EXPECT_EQ(scheduler.pickModel(none), -1);
+    const std::size_t backlog[] = {100};
+    for (int i = 0; i < 10; ++i)
+        EXPECT_EQ(scheduler.pickModel(backlog), 0) << "pick " << i;
+
+    const auto admitNext = [&](std::uint64_t id) {
+        const std::size_t pending[] = {1};
+        EXPECT_EQ(scheduler.pickModel(pending), 0) << "request " << id;
+        serve::QueuedRequest item;
+        item.id = id;
+        return scheduler.admit(0, std::move(item));
+    };
+    for (std::uint64_t id = 0; id < 3; ++id)
+        EXPECT_EQ(admitNext(id), id);
+    EXPECT_EQ(scheduler.slot(1).id, 1u);
+    const std::size_t expected_rows[] = {0, 1, 2};
+    const auto rows = scheduler.activeRows(0);
+    EXPECT_TRUE(std::equal(rows.begin(), rows.end(),
+                           std::begin(expected_rows),
+                           std::end(expected_rows)));
+
+    // A released middle slot is the next one handed out, ahead of the
+    // never-used slot 3.
+    scheduler.release(1);
+    EXPECT_EQ(scheduler.activeCount(), 2u);
+    EXPECT_EQ(admitNext(3), 1u);
+    EXPECT_EQ(scheduler.slot(1).id, 3u);
+    EXPECT_EQ(admitNext(4), 3u);
+    EXPECT_FALSE(scheduler.hasFree());
+
+    // Pending drains to zero: no pick, however much credit remains.
+    EXPECT_EQ(scheduler.pickModel(none), -1);
+}
 
 TEST(FleetSchedulerTest, EqualWeightsAlternate)
 {
@@ -311,6 +356,11 @@ TEST(FleetTest, OutputsBitwiseIdenticalToSingleModelServers)
         expectSequenceIdentical(ref_gru[b], response.output,
                                 "fleet vs single server, gru request " +
                                     std::to_string(b));
+        expectSequenceIdentical(
+            serialReference(gru.network, gru.bnn, gru.sequences[b],
+                            expected_theta),
+            response.output,
+            "fleet vs serial, gru request " + std::to_string(b));
     }
 
     // Per-model stats break the aggregate down exactly.

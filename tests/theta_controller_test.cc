@@ -347,7 +347,6 @@ serve::Admission
 makeAdmission(double default_theta)
 {
     serve::AdmissionConfig config;
-    config.server = "theta_controller_test";
     config.queueCapacity = 4;
     config.slots = 2;
 
